@@ -1,6 +1,5 @@
 #include "hw/cpuset.h"
 
-#include <set>
 #include <sstream>
 
 namespace heracles::hw {
@@ -19,17 +18,6 @@ CpuSet::Range(int first, int count)
     CpuSet s;
     for (int c = first; c < first + count; ++c) s.Add(c);
     return s;
-}
-
-std::vector<int>
-CpuSet::Cpus() const
-{
-    std::vector<int> out;
-    out.reserve(bits_.count());
-    for (int c = 0; c < kMaxCpus; ++c) {
-        if (bits_.test(static_cast<size_t>(c))) out.push_back(c);
-    }
-    return out;
 }
 
 std::string
@@ -55,6 +43,17 @@ CpuSet::ToString() const
         c = end + 1;
     }
     return oss.str();
+}
+
+Topology::Topology(const MachineConfig& cfg) : cfg_(cfg)
+{
+    HERACLES_CHECK_MSG(cfg.LogicalCpus() <= kMaxCpus,
+                       "too many cpus: " << cfg.LogicalCpus());
+    socket_masks_.reserve(cfg.sockets);
+    for (int s = 0; s < cfg.sockets; ++s) {
+        socket_masks_.push_back(
+            CpuSet::Range(s * cfg.CpusPerSocket(), cfg.CpusPerSocket()));
+    }
 }
 
 CpuSet
@@ -106,19 +105,16 @@ Topology::ThreadOfCores(int first_core, int n, int thread) const
 int
 Topology::PhysicalCoreCount(const CpuSet& set) const
 {
-    std::set<int> cores;
-    for (int cpu : set.Cpus()) cores.insert(CoreOf(cpu));
-    return static_cast<int>(cores.size());
-}
-
-CpuSet
-Topology::OnSocket(const CpuSet& set, int socket) const
-{
-    CpuSet s;
-    for (int cpu : set.Cpus()) {
-        if (SocketOf(cpu) == socket) s.Add(cpu);
+    // The threads of a core are adjacent cpu ids, so an ascending scan
+    // meets each covered core as one run: count the runs.
+    int cores = 0;
+    int last_core = -1;
+    for (int cpu : set) {
+        const int core = CoreOf(cpu);
+        if (core != last_core) ++cores;
+        last_core = core;
     }
-    return s;
+    return cores;
 }
 
 }  // namespace heracles::hw

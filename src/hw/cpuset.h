@@ -9,7 +9,9 @@
 #ifndef HERACLES_HW_CPUSET_H
 #define HERACLES_HW_CPUSET_H
 
-#include <bitset>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,42 @@ constexpr int kMaxCpus = 256;
 class CpuSet
 {
   public:
+    /**
+     * Ascending scan over the set's cpu ids: `for (int cpu : set)`.
+     * Walks the bit words with count-trailing-zeros; never allocates.
+     */
+    class Iterator
+    {
+      public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = int;
+        using difference_type = std::ptrdiff_t;
+        using pointer = const int*;
+        using reference = int;
+
+        Iterator(const CpuSet* set, int cpu) : set_(set), cpu_(cpu) {}
+        int operator*() const { return cpu_; }
+        Iterator&
+        operator++()
+        {
+            cpu_ = set_->NextFrom(cpu_ + 1);
+            return *this;
+        }
+        Iterator
+        operator++(int)
+        {
+            Iterator old = *this;
+            ++*this;
+            return old;
+        }
+        bool operator==(const Iterator& o) const { return cpu_ == o.cpu_; }
+        bool operator!=(const Iterator& o) const { return cpu_ != o.cpu_; }
+
+      private:
+        const CpuSet* set_;
+        int cpu_;
+    };
+
     CpuSet() = default;
 
     /** Builds a set from explicit cpu ids. */
@@ -37,63 +75,106 @@ class CpuSet
     Add(int cpu)
     {
         HERACLES_CHECK(cpu >= 0 && cpu < kMaxCpus);
-        bits_.set(static_cast<size_t>(cpu));
+        words_[cpu >> 6] |= Bit(cpu);
     }
     void
     Remove(int cpu)
     {
         HERACLES_CHECK(cpu >= 0 && cpu < kMaxCpus);
-        bits_.reset(static_cast<size_t>(cpu));
+        words_[cpu >> 6] &= ~Bit(cpu);
     }
     bool
     Contains(int cpu) const
     {
-        return cpu >= 0 && cpu < kMaxCpus &&
-               bits_.test(static_cast<size_t>(cpu));
+        return cpu >= 0 && cpu < kMaxCpus && (words_[cpu >> 6] & Bit(cpu));
     }
 
-    int Count() const { return static_cast<int>(bits_.count()); }
-    bool Empty() const { return bits_.none(); }
+    int
+    Count() const
+    {
+        int n = 0;
+        for (uint64_t w : words_) n += __builtin_popcountll(w);
+        return n;
+    }
+    bool
+    Empty() const
+    {
+        for (uint64_t w : words_) {
+            if (w != 0) return false;
+        }
+        return true;
+    }
 
-    /** All cpu ids in the set, ascending. */
-    std::vector<int> Cpus() const;
+    /** The smallest cpu id >= @p from in the set, or kMaxCpus if none. */
+    int
+    NextFrom(int from) const
+    {
+        int w = from >> 6;
+        if (w >= kWords) return kMaxCpus;
+        uint64_t bits = words_[w] & (~uint64_t{0} << (from & 63));
+        while (bits == 0) {
+            if (++w == kWords) return kMaxCpus;
+            bits = words_[w];
+        }
+        return (w << 6) + __builtin_ctzll(bits);
+    }
+
+    Iterator begin() const { return Iterator(this, NextFrom(0)); }
+    Iterator end() const { return Iterator(this, kMaxCpus); }
 
     CpuSet
     Union(const CpuSet& o) const
     {
         CpuSet r;
-        r.bits_ = bits_ | o.bits_;
+        for (int i = 0; i < kWords; ++i) r.words_[i] = words_[i] | o.words_[i];
         return r;
     }
     CpuSet
     Intersect(const CpuSet& o) const
     {
         CpuSet r;
-        r.bits_ = bits_ & o.bits_;
+        for (int i = 0; i < kWords; ++i) r.words_[i] = words_[i] & o.words_[i];
         return r;
     }
     CpuSet
     Minus(const CpuSet& o) const
     {
         CpuSet r;
-        r.bits_ = bits_ & ~o.bits_;
+        for (int i = 0; i < kWords; ++i) r.words_[i] = words_[i] & ~o.words_[i];
         return r;
     }
-    bool Intersects(const CpuSet& o) const { return (bits_ & o.bits_).any(); }
-    bool operator==(const CpuSet& o) const { return bits_ == o.bits_; }
+    bool
+    Intersects(const CpuSet& o) const
+    {
+        for (int i = 0; i < kWords; ++i) {
+            if (words_[i] & o.words_[i]) return true;
+        }
+        return false;
+    }
+    bool
+    operator==(const CpuSet& o) const
+    {
+        for (int i = 0; i < kWords; ++i) {
+            if (words_[i] != o.words_[i]) return false;
+        }
+        return true;
+    }
 
     /** Compact human-readable form, e.g. "0-3,8,10-11". */
     std::string ToString() const;
 
   private:
-    std::bitset<kMaxCpus> bits_;
+    static constexpr int kWords = kMaxCpus / 64;
+    static uint64_t Bit(int cpu) { return uint64_t{1} << (cpu & 63); }
+
+    uint64_t words_[kWords] = {};
 };
 
 /** Maps logical cpu ids to (socket, physical core, thread) and back. */
 class Topology
 {
   public:
-    explicit Topology(const MachineConfig& cfg) : cfg_(cfg) {}
+    explicit Topology(const MachineConfig& cfg);
 
     int SocketOf(int cpu) const { return cpu / cfg_.CpusPerSocket(); }
 
@@ -148,13 +229,20 @@ class Topology
     /** Number of distinct physical cores covered by @p set. */
     int PhysicalCoreCount(const CpuSet& set) const;
 
-    /** Cpus of @p set that live on @p socket. */
-    CpuSet OnSocket(const CpuSet& set, int socket) const;
+    /** Cpus of @p set that live on @p socket (an AND with its mask). */
+    CpuSet
+    OnSocket(const CpuSet& set, int socket) const
+    {
+        return socket >= 0 && socket < cfg_.sockets
+                   ? set.Intersect(socket_masks_[socket])
+                   : CpuSet();
+    }
 
     const MachineConfig& config() const { return cfg_; }
 
   private:
     MachineConfig cfg_;
+    std::vector<CpuSet> socket_masks_;  ///< Every cpu of each socket.
 };
 
 }  // namespace heracles::hw

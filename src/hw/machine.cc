@@ -19,10 +19,9 @@ Machine::Machine(const MachineConfig& cfg, sim::EventQueue& queue)
       dram_granted_(cfg.sockets, 0.0),
       socket_power_(cfg.sockets, 0.0)
 {
+    // topo_ already rejected a config with more than kMaxCpus cpus.
     HERACLES_CHECK_MSG(cfg.sockets <= kMaxSockets,
                        "too many sockets: " << cfg.sockets);
-    HERACLES_CHECK_MSG(cfg.LogicalCpus() <= kMaxCpus,
-                       "too many cpus: " << cfg.LogicalCpus());
     epoch_event_ = queue_.SchedulePeriodic(cfg.epoch, cfg.epoch,
                                            [this] { EpochResolve(); });
 }
@@ -44,6 +43,7 @@ Machine::AddClient(ResourceClient* client)
     }
     clients_.emplace_back(client, ClientState{});
     demand_dirty_ = true;
+    ht_neighbours_stale_ = true;
 }
 
 void
@@ -54,6 +54,7 @@ Machine::RemoveClient(ResourceClient* client)
         if (it->first == client) {
             clients_.erase(it);
             demand_dirty_ = true;
+            ht_neighbours_stale_ = true;
             return;
         }
     }
@@ -83,10 +84,8 @@ Machine::AssignCpus(ResourceClient* client, const CpuSet& cpus)
     // Flush before mutating: a resolve requested earlier this instant
     // must still see the pre-change assignment.
     EnsureResolved();
-    for (int cpu : cpus.Cpus()) {
-        HERACLES_CHECK_MSG(cpu < cfg_.LogicalCpus(),
-                           "cpu " << cpu << " out of range");
-    }
+    const int stray = cpus.NextFrom(cfg_.LogicalCpus());
+    HERACLES_CHECK_MSG(stray == kMaxCpus, "cpu " << stray << " out of range");
     if (!allow_sharing_) {
         for (const auto& [other, st] : clients_) {
             if (other != client && st.cpus.Intersects(cpus)) {
@@ -96,14 +95,73 @@ Machine::AssignCpus(ResourceClient* client, const CpuSet& cpus)
             }
         }
     }
-    StateOf(client).cpus = cpus;
+    ClientState& st = StateOf(client);
+    st.cpus = cpus;
+    CacheLayout(st);
     demand_dirty_ = true;
+    ht_neighbours_stale_ = true;
+}
+
+void
+Machine::CacheLayout(ClientState& st) const
+{
+    st.slots.clear();
+    std::fill(std::begin(st.socket_begin), std::end(st.socket_begin), 0);
+    std::fill(std::begin(st.cores_on), std::end(st.cores_on), 0);
+    int last_core = -1;
+    for (int cpu : st.cpus) {
+        const int socket = topo_.SocketOf(cpu);
+        const int core = topo_.CoreOf(cpu);
+        const int sib = topo_.SiblingOf(cpu);
+        st.slots.push_back({cpu, sib, core % cfg_.cores_per_socket});
+        // A core's threads are adjacent cpu ids: count each run once.
+        if (core != last_core) ++st.cores_on[socket];
+        last_core = core;
+        ++st.socket_begin[socket + 1];
+    }
+    for (int s = 0; s < cfg_.sockets; ++s) {
+        st.socket_begin[s + 1] += st.socket_begin[s];
+    }
+}
+
+void
+Machine::RebuildHtNeighbours()
+{
+    for (size_t c = 0; c < clients_.size(); ++c) {
+        ClientState& st = clients_[c].second;
+        st.ht_neighbours.clear();
+        if (st.cpus.Empty()) continue;
+        CpuSet reach = st.cpus;
+        for (const CpuSlot& slot : st.slots) {
+            if (slot.sibling >= 0) reach.Add(slot.sibling);
+        }
+        for (size_t o = 0; o < clients_.size(); ++o) {
+            if (o != c && clients_[o].second.cpus.Intersects(reach)) {
+                st.ht_neighbours.push_back(o);
+            }
+        }
+    }
+    ht_neighbours_stale_ = false;
 }
 
 const CpuSet&
 Machine::CpusOf(const ResourceClient* client) const
 {
     return StateOf(client).cpus;
+}
+
+int
+Machine::CpuCountOn(const ResourceClient* client, int socket) const
+{
+    HERACLES_CHECK(socket >= 0 && socket < cfg_.sockets);
+    return StateOf(client).CpusOn(socket);
+}
+
+int
+Machine::CoreCountOn(const ResourceClient* client, int socket) const
+{
+    HERACLES_CHECK(socket >= 0 && socket < cfg_.sockets);
+    return StateOf(client).cores_on[socket];
 }
 
 void
@@ -277,8 +335,7 @@ Machine::ResolveLlcAndDram()
         socket_frac.clear();
         for (size_t i = 0; i < clients_.size(); ++i) {
             auto& [client, st] = clients_[i];
-            if (st.cpus.Empty()) continue;
-            const int here = topo_.OnSocket(st.cpus, socket).Count();
+            const int here = st.CpusOn(socket);
             if (here == 0) continue;
             LlcRequest r;
             r.footprint_mb = client->LlcFootprintMb(socket);
@@ -287,7 +344,7 @@ Machine::ResolveLlcAndDram()
             reqs.push_back(r);
             idx.push_back(i);
             socket_frac.push_back(static_cast<double>(here) /
-                                  st.cpus.Count());
+                                  st.slots.size());
         }
 
         ResolveLlc(cfg_, reqs, &scratch_llc_);
@@ -330,52 +387,73 @@ Machine::ResolveLlcAndDram()
 }
 
 void
+Machine::ProbeHtBusy(size_t c)
+{
+    for (size_t o = 0; o < clients_.size(); ++o) {
+        if (o == c || ht_aggr_[o] <= 0.0) continue;
+        ht_busy_[o] = clients_[o].first->CpuBusyFraction();
+    }
+}
+
+double
+Machine::HtPenaltyAt(const ClientState& st, const CpuSlot& slot) const
+{
+    double p = 1.0;
+    for (size_t o : st.ht_neighbours) {
+        if (ht_aggr_[o] <= 0.0) continue;
+        const CpuSet& other = clients_[o].second.cpus;
+        if (slot.sibling >= 0 && other.Contains(slot.sibling)) {
+            p += ht_aggr_[o] * ht_busy_[o];
+        }
+        if (other.Contains(slot.cpu)) {
+            // Sharing the same logical cpu (OS-only baseline) is
+            // considerably worse than sharing a sibling.
+            p += 1.6 * ht_aggr_[o] * ht_busy_[o];
+        }
+    }
+    return p;
+}
+
+void
 Machine::ResolveHt()
 {
     // HyperThread penalties: what runs on the sibling of each cpu.
+    if (ht_neighbours_stale_) RebuildHtNeighbours();
     const size_t n = clients_.size();
     ht_aggr_.resize(n);
-    ht_busy_.assign(n, 0.0);
+    ht_busy_.resize(n);
     for (size_t o = 0; o < n; ++o) {
         ht_aggr_[o] = clients_[o].first->HtAggression() - 1.0;
     }
-    for (auto& [client, st] : clients_) {
-        if (st.cpus.Empty()) {
+    for (size_t c = 0; c < n; ++c) {
+        ClientState& st = clients_[c].second;
+        const size_t n_cpus = st.slots.size();
+        if (n_cpus == 0) {
             st.view.ht_penalty = 1.0;
             continue;
         }
-        double total = 0.0;
-        int n_cpus = 0;
-        for (int cpu : st.cpus.Cpus()) {
-            double p = 1.0;
-            const int sib = topo_.SiblingOf(cpu);
-            for (size_t o = 0; o < n; ++o) {
-                auto& [other, ost] = clients_[o];
-                if (other == client) continue;
-                if (ht_aggr_[o] <= 0.0) continue;
-                // Same-instant busy queries are stable from the second
-                // one on (the first resets the client's measurement
-                // window, the second reads the post-reset instantaneous
-                // level, and nothing can change busy counts inside a
-                // resolve) — so cpus past the second reuse the second
-                // query's value, the exact number a per-cpu query would
-                // return.
-                const double busy =
-                    n_cpus < 2 ? (ht_busy_[o] = other->CpuBusyFraction())
-                               : ht_busy_[o];
-                if (sib >= 0 && ost.cpus.Contains(sib)) {
-                    p += ht_aggr_[o] * busy;
-                }
-                if (ost.cpus.Contains(cpu)) {
-                    // Sharing the same logical cpu (OS-only baseline) is
-                    // considerably worse than sharing a sibling.
-                    p += 1.6 * ht_aggr_[o] * busy;
-                }
-            }
-            total += p;
-            ++n_cpus;
+        // Every other aggressive client is probed at the first and at
+        // the second cpu, neighbour or not. The first query resets its
+        // measurement window, the second reads the post-reset
+        // instantaneous level, and nothing can change busy counts
+        // inside a resolve — so cpus past the second reuse the second
+        // query's value, the exact number a per-cpu query would return.
+        ProbeHtBusy(c);
+        if (st.ht_neighbours.empty()) {
+            // No cpu shares a core with another client: every cpu's
+            // penalty is exactly 1.0, and so is their mean.
+            if (n_cpus > 1) ProbeHtBusy(c);
+            st.view.ht_penalty = 1.0;
+            continue;
         }
-        st.view.ht_penalty = n_cpus > 0 ? total / n_cpus : 1.0;
+        double total = HtPenaltyAt(st, st.slots[0]);
+        if (n_cpus > 1) {
+            ProbeHtBusy(c);
+            for (size_t k = 1; k < n_cpus; ++k) {
+                total += HtPenaltyAt(st, st.slots[k]);
+            }
+        }
+        st.view.ht_penalty = total / n_cpus;
     }
 }
 
@@ -391,13 +469,12 @@ Machine::ResolvePowerAllSockets()
         cores.assign(cfg_.cores_per_socket, CorePowerRequest{});
         // Fill per-core busy/intensity/caps from thread ownership.
         for (auto& [client, st] : clients_) {
-            if (st.cpus.Empty()) continue;
+            if (st.slots.empty()) continue;
             const double busy = client->CpuBusyFraction();
             const double intensity = client->PowerIntensity();
-            for (int cpu : topo_.OnSocket(st.cpus, socket).Cpus()) {
-                const int core_local =
-                    topo_.CoreOf(cpu) % cfg_.cores_per_socket;
-                auto& c = cores[core_local];
+            for (int i = st.socket_begin[socket];
+                 i < st.socket_begin[socket + 1]; ++i) {
+                auto& c = cores[st.slots[i].core_local];
                 // Each busy thread contributes its share; two busy
                 // threads saturate the physical core.
                 const double add = busy / cfg_.threads_per_core;
@@ -422,20 +499,17 @@ Machine::ResolvePowerAllSockets()
 
         // Publish mean frequency per client on this socket.
         for (auto& [client, st] : clients_) {
-            const CpuSet here = topo_.OnSocket(st.cpus, socket);
-            if (here.Empty()) continue;
+            const int n = st.CpusOn(socket);
+            if (n == 0) continue;
+            const int begin = st.socket_begin[socket];
             double f = 0.0;
-            int n = 0;
-            for (int cpu : here.Cpus()) {
-                const int core_local =
-                    topo_.CoreOf(cpu) % cfg_.cores_per_socket;
-                f += pw.freq_ghz[core_local];
-                ++n;
+            for (int i = begin; i < begin + n; ++i) {
+                f += pw.freq_ghz[st.slots[i].core_local];
             }
             // Weighted across sockets by cpu count. The view's frequency
             // was zeroed at the start of this phase.
             const double frac =
-                static_cast<double>(n) / st.cpus.Count();
+                static_cast<double>(n) / st.slots.size();
             st.view.freq_ghz += frac * (f / n);
         }
     }

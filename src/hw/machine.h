@@ -30,6 +30,17 @@
  * read a stale view. Both paths are byte-identical to the historical
  * eager full-scan resolver (pinned by tests/machine_equivalence_test.cc
  * and the golden scenario baselines).
+ *
+ * The cpuset-derived layout is computed when cpus are assigned, not per
+ * resolve. AssignCpus caches each client's ascending cpu list with every
+ * cpu's HT sibling and socket-local core, and its cpu and physical-core
+ * counts per socket. After any assignment or registry change the
+ * resolver rebuilds, once, each client's list of HT neighbours: the
+ * other clients owning one of its cpus or their siblings. The
+ * per-resolve LLC/DRAM, HT and power phases then walk cached index lists
+ * and visit only overlapping clients, in the same order and with the
+ * same floating-point summation as the per-cpu scan they replace (pinned
+ * by tests/machine_layout_test.cc).
  */
 #ifndef HERACLES_HW_MACHINE_H
 #define HERACLES_HW_MACHINE_H
@@ -100,6 +111,13 @@ class Machine
     void AllowCpuSharing(bool allow) { allow_sharing_ = allow; }
 
     const CpuSet& CpusOf(const ResourceClient* client) const;
+
+    /** Logical cpus of @p client on @p socket (cached at AssignCpus). */
+    int CpuCountOn(const ResourceClient* client, int socket) const;
+
+    /** Physical cores with a cpu of @p client on @p socket (cached at
+     *  AssignCpus). */
+    int CoreCountOn(const ResourceClient* client, int socket) const;
 
     // --- Isolation mechanisms ----------------------------------------------
 
@@ -211,11 +229,36 @@ class Machine
     void ResetTelemetryAverages();
 
   private:
+    /** One assigned cpu, as the resolver phases need it. */
+    struct CpuSlot {
+        int cpu;
+        int sibling;     ///< Its HT sibling, or -1 without HyperThreads.
+        int core_local;  ///< Its physical core's index on its socket.
+    };
+
     struct ClientState {
         CpuSet cpus;
         int cat_ways = 0;
         double freq_cap_ghz = 0.0;
         TaskView view;
+
+        // Layout of `cpus`, recomputed by CacheLayout on assignment.
+        /** One slot per cpu in ascending cpu order, hence socket-major. */
+        std::vector<CpuSlot> slots;
+        /** Slots on socket s are [socket_begin[s], socket_begin[s + 1]). */
+        int socket_begin[kMaxSockets + 1] = {};
+        int
+        CpusOn(int socket) const
+        {
+            return socket_begin[socket + 1] - socket_begin[socket];
+        }
+        int cores_on[kMaxSockets] = {};  ///< Physical cores per socket.
+        /**
+         * Other clients (indices into `clients_`, ascending) owning one of
+         * `cpus` or their HT siblings: the only ones that can add an HT
+         * penalty. Rebuilt when `ht_neighbours_stale_` is set.
+         */
+        std::vector<size_t> ht_neighbours;
     };
 
     /** The epoch timer's resolve: honors demand-dirty tracking. */
@@ -231,6 +274,17 @@ class Machine
      * state-equivalent to the eager resolve it replaces.
      */
     void TouchAllBusy();
+
+    /** Recomputes @p st's cached layout from its cpuset. */
+    void CacheLayout(ClientState& st) const;
+    /** Recomputes every client's `ht_neighbours`. */
+    void RebuildHtNeighbours();
+
+    /** Queries CpuBusyFraction of every client other than the one at
+     *  index @p c whose HT aggression is positive, into `ht_busy_`. */
+    void ProbeHtBusy(size_t c);
+    /** HT penalty of one of @p st's cpus from the probed busy values. */
+    double HtPenaltyAt(const ClientState& st, const CpuSlot& slot) const;
 
     void ResolveLlcAndDram();
     void ResolveHt();
@@ -258,6 +312,8 @@ class Machine
     std::vector<std::pair<ResourceClient*, ClientState>> clients_;
     bool allow_sharing_ = false;
     double be_net_ceil_gbps_ = -1.0;
+    /** Set by every assignment or registry change. */
+    bool ht_neighbours_stale_ = true;
 
     // Incremental-resolution state.
     bool naive_ = false;
@@ -278,7 +334,7 @@ class Machine
     PowerOutcome scratch_power_;
     PowerScratch power_scratch_;
     std::vector<double> ht_aggr_;  ///< Per-client aggression minus one.
-    std::vector<double> ht_busy_;  ///< Per-client hoisted busy values.
+    std::vector<double> ht_busy_;  ///< Per-client probed busy values.
 
     // Resolved machine-level state.
     std::vector<double> dram_granted_;  ///< Per socket.

@@ -44,9 +44,7 @@ BeTask::SetDemandScale(double scale)
 int
 BeTask::CoresOn(int socket) const
 {
-    const hw::CpuSet here =
-        machine_.topology().OnSocket(machine_.CpusOf(this), socket);
-    return machine_.topology().PhysicalCoreCount(here);
+    return machine_.CoreCountOn(this, socket);
 }
 
 double

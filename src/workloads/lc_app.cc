@@ -270,14 +270,13 @@ LcApp::SampleServiceTime(bool ht_shared)
     const uint64_t gen = machine_.demand_generation();
     if (!factors_valid_ || factors_gen_ != gen ||
         factors_alloc_ != alloc_version_ || factors_qps_ != qps_ewma_) {
-        const auto& topo = machine_.topology();
         const hw::CpuSet& cpus = machine_.CpusOf(this);
         double ipen = 1.0, dmiss = 1.0;
         if (!cpus.Empty()) {
             ipen = 0.0;
             dmiss = 0.0;
             for (int s = 0; s < cfg.sockets; ++s) {
-                const int here = topo.OnSocket(cpus, s).Count();
+                const int here = machine_.CpuCountOn(this, s);
                 if (here == 0) continue;
                 const double w = static_cast<double>(here) / cpus.Count();
                 const auto [ip, dm] = CacheFactors(view.llc_mb[s]);
@@ -368,16 +367,14 @@ LcApp::CpuBusyFraction() const
 double
 LcApp::LlcFootprintMb(int socket) const
 {
-    const hw::CpuSet& cpus = machine_.CpusOf(this);
-    if (machine_.topology().OnSocket(cpus, socket).Empty()) return 0.0;
+    if (machine_.CpuCountOn(this, socket) == 0) return 0.0;
     return params_.cache.instr_mb + CurrentDataFootprintMb();
 }
 
 double
 LcApp::LlcAccessWeight(int socket) const
 {
-    const hw::CpuSet& cpus = machine_.CpusOf(this);
-    if (machine_.topology().OnSocket(cpus, socket).Empty()) return 0.0;
+    if (machine_.CpuCountOn(this, socket) == 0) return 0.0;
     // Access pressure grows with request rate; a small floor keeps some
     // residency at idle.
     return params_.access_weight_scale *
@@ -388,9 +385,8 @@ double
 LcApp::DramDemandGbps(int socket, double effective_llc_mb) const
 {
     const hw::CpuSet& cpus = machine_.CpusOf(this);
-    const auto& topo = machine_.topology();
-    const int here = topo.OnSocket(cpus, socket).Count();
-    if (here == 0 || cpus.Empty()) return 0.0;
+    const int here = machine_.CpuCountOn(this, socket);
+    if (here == 0) return 0.0;
 
     // Demand follows the served request rate (an overloaded service
     // cannot demand bandwidth for requests it is not processing). Cache

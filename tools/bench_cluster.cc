@@ -32,6 +32,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 
 #include "cluster/cluster.h"
 #include "scenarios/registry.h"
@@ -185,6 +186,7 @@ main(int argc, char** argv)
         head, sizeof head,
         "{\n"
         "  \"bench\": \"cluster_epoch\",\n"
+        "  \"host_cpus\": %u,\n"
         "  \"scenario\": \"%s\",\n"
         "  \"scale\": %.3f,\n"
         "  \"leaves\": %zu,\n"
@@ -192,7 +194,8 @@ main(int argc, char** argv)
         "  \"epochs\": %llu,\n"
         "  \"leaf_events\": %llu,\n"
         "  \"runs\": [\n",
-        scenario_name.c_str(), scale, leaf_count,
+        std::thread::hardware_concurrency(), scenario_name.c_str(), scale,
+        leaf_count,
         cluster::TopologyKindName(base.topology).c_str(),
         static_cast<unsigned long long>(results[0].epochs),
         static_cast<unsigned long long>(results[0].leaf_events));

@@ -37,6 +37,7 @@
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hw/machine.h"
@@ -341,6 +342,7 @@ main(int argc, char** argv)
     std::snprintf(head, sizeof head,
                   "{\n"
                   "  \"bench\": \"sim_core\",\n"
+                  "  \"host_cpus\": %u,\n"
                   "  \"scenarios\": {\n"
                   "    \"count\": %zu,\n"
                   "    \"scale\": %.3f,\n"
@@ -350,7 +352,8 @@ main(int argc, char** argv)
                   "    \"violating_scenarios\": %s,\n"
                   "    \"slowest\": %s\n"
                   "  },\n",
-                  results.size(), scale, catalog_s, violations,
+                  std::thread::hardware_concurrency(), results.size(),
+                  scale, catalog_s, violations,
                   violating_json.c_str(), slowest_json.c_str());
 
     const std::string json = std::string(head) + sched_json +
