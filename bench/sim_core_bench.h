@@ -263,14 +263,17 @@ RunEventQueueChurn(uint64_t total_events, int window = 2048)
 /**
  * Streaming-tail driver: records @p total_samples latencies drawn from
  * the exponential ballpark of a websearch service time into a
- * WindowedTailTracker (2 s fast window, the controller's poll cadence),
- * advancing simulated time so windows keep closing, then issues p95/p99
- * queries per window roll. Reports samples/sec.
+ * WindowedTailTracker (2 s fast window, the controller's poll cadence)
+ * and an all-time LatencyHistogram (what LcApp::OverallPercentile
+ * reads), advancing simulated time so windows keep closing, and
+ * periodically queries the all-time p95 and the partial window's tail.
+ * Reports samples/sec.
  */
 inline BenchResult
 RunStatsStreaming(uint64_t total_samples)
 {
     sim::WindowedTailTracker tracker(sim::Seconds(2), 0.99);
+    sim::LatencyHistogram all;
     sim::Rng rng(7);
     sim::SimTime now = 0;
     sim::Duration sink = 0;
@@ -282,8 +285,9 @@ RunStatsStreaming(uint64_t total_samples)
             const auto lat =
                 static_cast<sim::Duration>(1 + rng.Exponential(4e6));
             tracker.Record(now, lat);
+            all.Record(lat);
             if ((i & 0x3FFF) == 0) {
-                sink += tracker.OverallPercentile(0.95);
+                sink += all.Percentile(0.95);
                 sink += tracker.CurrentWindowTail();
             }
         }

@@ -1,8 +1,8 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
-#include <unordered_map>
 
 #include "cluster/epoch.h"
 #include "cluster/fingerprint.h"
@@ -30,11 +30,12 @@ namespace {
  * single-threaded at the barriers, so the only cross-leaf channels are
  * the staged arrival inboxes (root → leaf, written before an epoch) and
  * the reply outboxes (leaf → root, drained after it). The barrier
- * schedule and the inbox/outbox merge order depend only on the
- * configuration, never on thread count, which keeps a jobs=N run
- * bit-identical to jobs=1 — and, by matching the old shared queue's
- * insertion-order tie-breaks at the barriers, byte-identical to the
- * serial single-queue implementation this replaced.
+ * schedule and the inbox contents depend only on the configuration,
+ * never on thread count, and the drained replies' effect on root state
+ * does not depend on their order (see DrainOutboxes), which keeps a
+ * jobs=N run bit-identical to jobs=1 — and, by matching the old shared
+ * queue's insertion-order tie-breaks at the barriers, byte-identical to
+ * the serial single-queue implementation this replaced.
  */
 class ClusterSim
 {
@@ -201,11 +202,11 @@ class ClusterSim
             lc.StartExternal();
             // Replies never cross into root state mid-epoch: they land
             // in the leaf's own outbox (thread-confined) and the root
-            // merges all outboxes at the next barrier.
+            // drains all outboxes at the next barrier.
             lc.SetCompletionCallback(
                 [this, idx](uint64_t tag, sim::Duration latency) {
-                    Leaf& l = leaves_[static_cast<size_t>(idx)];
-                    l.outbox.push_back({l.queue->Now(), tag, latency});
+                    leaves_[static_cast<size_t>(idx)].outbox.push_back(
+                        {tag, latency});
                 });
 
             leaf.base_slo = ls.lc.slo_latency;
@@ -226,6 +227,7 @@ class ClusterSim
             LeafBatching::Resolve(leaves_.size(), cfg_.leaf_batch);
         topo_ = MakeTopology(cfg_.topology, n, cfg_.shards,
                              cfg_.rack_size, cfg_.seed ^ 0x70B0C0DEull);
+        ledger_ = QueryLedger(2 * cfg_.hop * topo_->HopLevels());
         if (scheduled) {
             scheduler_ = std::make_unique<ClusterScheduler>(
                 cfg_.scheduler, num_jobs, n);
@@ -305,23 +307,35 @@ class ClusterSim
                 cfg_.jobs, static_cast<int>(leaves_.size())));
             pool = owned.get();
         }
+        // Host time of the root's serial work (everything but the
+        // leaf fan-out) is clocked for ClusterResult::barrier_host_s;
+        // it is never read back into simulated state.
+        using Clock = std::chrono::steady_clock;
+        Clock::duration serial{0};
         for (const sim::SimTime t : clock.barriers) {
+            const Clock::time_point pump = Clock::now();
             for (auto& leaf : leaves_) leaf.inbox.clear();
             PumpArrivals(/*limit=*/t);
+            const Clock::time_point fan = Clock::now();
             FanOutLeaves(pool, t, /*inclusive=*/false);
+            const Clock::time_point drain = Clock::now();
             DrainOutboxes();
             ApplyFaultBoundaries(t);
             if (t % cfg_.root_window == 0) CloseWindow(t);
             if (scheduler_ != nullptr && t % cfg_.scheduler.period == 0) {
                 SchedulerTick(t);
             }
+            serial += (fan - pump) + (Clock::now() - drain);
         }
         // The shared queue's RunFor(duration) was inclusive, with leaf
         // events at the final instant firing *after* the root's — run
         // them (and any arrival at exactly `duration`) last.
+        const Clock::time_point pump = Clock::now();
         for (auto& leaf : leaves_) leaf.inbox.clear();
         PumpArrivals(duration + 1);
+        serial += Clock::now() - pump;
         FanOutLeaves(pool, duration, /*inclusive=*/true);
+        barrier_host_s_ += std::chrono::duration<double>(serial).count();
     }
 
     /**
@@ -371,6 +385,10 @@ class ClusterSim
 
     /** Barrier intervals executed (across Run calls). */
     uint64_t epochs() const { return epochs_; }
+
+    /** Host seconds of the root's serial barrier work (across Run
+     *  calls). */
+    double barrier_host_s() const { return barrier_host_s_; }
 
     /** Events executed across every leaf's queue. */
     uint64_t
@@ -427,7 +445,6 @@ class ClusterSim
 
     /** One leaf → root completion record. */
     struct Reply {
-        sim::SimTime when;
         uint64_t tag;
         sim::Duration latency;
     };
@@ -454,11 +471,6 @@ class ClusterSim
 
         workloads::LcApp& lc() const { return server->lc(); }
         workloads::BeTask* be() const { return server->be(); }
-    };
-
-    struct Query {
-        int remaining = 0;
-        sim::Duration max_latency = 0;
     };
 
     /**
@@ -494,8 +506,7 @@ class ClusterSim
     void
     DispatchArrival(sim::SimTime when)
     {
-        const uint64_t tag = next_tag_++;
-        topo_->TouchedLeaves(tag, &touched_);
+        topo_->TouchedLeaves(ledger_.next_tag(), &touched_);
         // Crashed leaves answer nothing; the root combines whatever the
         // surviving replicas return. A query whose every touched leaf
         // is dark is lost (an error response, outside the latency
@@ -506,8 +517,7 @@ class ClusterSim
         for (int li : touched_) {
             if (!crashed_[static_cast<size_t>(li)]) ++alive;
         }
-        if (alive == 0) return;
-        pending_[tag] = Query{alive, 0};
+        const uint64_t tag = ledger_.Open(alive);
         for (int li : touched_) {
             if (crashed_[static_cast<size_t>(li)]) continue;
             leaves_[static_cast<size_t>(li)].inbox.push_back({when, tag});
@@ -551,13 +561,9 @@ class ClusterSim
 
     /**
      * Fans every leaf to the barrier at @p until, one pool task per leaf
-     * batch. Batches are submitted heaviest-first — ranked by cumulative
-     * executed events, the best deterministic proxy for how much work
-     * the next interval holds — so the FIFO pool starts the long poles
-     * before the stragglers instead of discovering them last. Both the
-     * batch mapping and the rank are pure functions of simulation state,
-     * never of thread count, and batch execution order cannot change
-     * results (leaves are thread-confined within an epoch).
+     * batch. The batch mapping is a pure function of the configuration,
+     * and batch execution order cannot change results (leaves are
+     * thread-confined within an epoch).
      */
     void
     FanOutLeaves(runner::Pool* pool, sim::SimTime until, bool inclusive)
@@ -567,18 +573,7 @@ class ClusterSim
             for (auto& leaf : leaves_) StepLeaf(leaf, until, inclusive);
             return;
         }
-        batch_work_.assign(nb, 0);
-        for (size_t i = 0; i < leaves_.size(); ++i) {
-            batch_work_[batching_.BatchOf(i)] +=
-                leaves_[i].queue->executed();
-        }
-        batch_order_.resize(nb);
-        for (size_t b = 0; b < nb; ++b) batch_order_[b] = b;
-        std::stable_sort(batch_order_.begin(), batch_order_.end(),
-                         [this](size_t a, size_t b) {
-                             return batch_work_[a] > batch_work_[b];
-                         });
-        runner::ParallelFor(pool, batch_order_, [&](size_t b) {
+        runner::ParallelFor(pool, nb, [&](size_t b) {
             const size_t end = batching_.BatchEnd(b);
             for (size_t i = batching_.BatchBegin(b); i < end; ++i) {
                 StepLeaf(leaves_[i], until, inclusive);
@@ -587,65 +582,34 @@ class ClusterSim
     }
 
     /**
-     * Merges every leaf's completions since the last barrier and applies
-     * them to the root's fan-out bookkeeping in completion-time order
-     * (stable by leaf index for equal stamps — a fixed order no thread
-     * schedule can perturb), reproducing the serial implementation's
-     * global completion order and its floating-point window summation.
+     * Applies every leaf's completions since the last barrier to the
+     * root's fan-out bookkeeping, walking the outboxes in leaf order.
      *
-     * Each outbox is already time-sorted (a leaf appends at its own
-     * monotone completion instants), so a k-way merge over per-leaf
-     * cursors visits replies in exactly the order the old concatenate +
-     * stable_sort produced — equal stamps break by leaf index, matching
-     * the leaf-major concatenation — without copying every reply into a
-     * scratch buffer and re-sorting per barrier.
+     * The order replies are applied in within one drain cannot reach
+     * results. It decides only (1) which queries complete in this drain
+     * — the same set in any order; (2) each query's slowest reply — a
+     * max, which commutes; and (3) the window sum of root latencies,
+     * which is an integer count of nanoseconds, exact in any order. The
+     * serial implementation summed the same integers as doubles in
+     * completion-time order; every partial sum of a window stays far
+     * below 2^53 ns (~104 days), so that sum was exact too and the two
+     * agree bit for bit.
      */
     void
     DrainOutboxes()
     {
-        merge_heap_.clear();
-        merge_pos_.assign(leaves_.size(), 0);
-        for (size_t li = 0; li < leaves_.size(); ++li) {
-            if (!leaves_[li].outbox.empty()) merge_heap_.push_back(li);
-        }
-        // "Greater" by (when, leaf index): the std heap is a max-heap,
-        // so this comparator pops the earliest reply first.
-        const auto later = [this](size_t a, size_t b) {
-            const Reply& ra = leaves_[a].outbox[merge_pos_[a]];
-            const Reply& rb = leaves_[b].outbox[merge_pos_[b]];
-            return ra.when != rb.when ? ra.when > rb.when : a > b;
-        };
-        std::make_heap(merge_heap_.begin(), merge_heap_.end(), later);
-        while (!merge_heap_.empty()) {
-            std::pop_heap(merge_heap_.begin(), merge_heap_.end(), later);
-            const size_t li = merge_heap_.back();
-            merge_heap_.pop_back();
-            const Reply& r = leaves_[li].outbox[merge_pos_[li]++];
-            HandleReply(r.tag, r.latency);
-            if (merge_pos_[li] < leaves_[li].outbox.size()) {
-                merge_heap_.push_back(li);
-                std::push_heap(merge_heap_.begin(), merge_heap_.end(),
-                               later);
+        for (auto& leaf : leaves_) {
+            for (const Reply& r : leaf.outbox) {
+                const sim::Duration root_latency =
+                    ledger_.Reply(r.tag, r.latency);
+                if (root_latency >= 0) {
+                    window_sum_ns_ += root_latency;
+                    ++window_count_;
+                }
             }
+            leaf.outbox.clear();
         }
-        for (auto& leaf : leaves_) leaf.outbox.clear();
-    }
-
-    void
-    HandleReply(uint64_t tag, sim::Duration latency)
-    {
-        auto it = pending_.find(tag);
-        if (it == pending_.end()) return;
-        Query& q = it->second;
-        q.max_latency = std::max(q.max_latency, latency);
-        if (--q.remaining == 0) {
-            const sim::Duration root_latency =
-                q.max_latency +
-                2 * cfg_.hop * topo_->HopLevels();
-            window_sum_ += static_cast<double>(root_latency);
-            ++window_count_;
-            pending_.erase(it);
-        }
+        ledger_.Retire();
     }
 
     /** Applies every cluster-fault boundary landing exactly at @p t, in
@@ -694,7 +658,8 @@ class ClusterSim
     CloseWindow(sim::SimTime now)
     {
         if (window_count_ > 0 && now > warmup_end_) {
-            const double mean = window_sum_ / window_count_;
+            const double mean = static_cast<double>(window_sum_ns_) /
+                                static_cast<double>(window_count_);
             AdjustLeafTargets(mean);
             latency_.Add(now, target_ > 0
                                   ? mean / static_cast<double>(target_)
@@ -716,7 +681,7 @@ class ClusterSim
             emu_.Add(now, emu / leaves_.size());
             load_.Add(now, trace_.LoadAt(now));
         }
-        window_sum_ = 0.0;
+        window_sum_ns_ = 0;
         window_count_ = 0;
     }
 
@@ -801,10 +766,6 @@ class ClusterSim
 
     /** Deterministic leaf → pool-task mapping for the barrier fan-out. */
     LeafBatching batching_;
-    std::vector<uint64_t> batch_work_;   // per-barrier scratch
-    std::vector<size_t> batch_order_;    // per-barrier scratch
-    std::vector<size_t> merge_heap_;     // outbox k-way merge scratch
-    std::vector<size_t> merge_pos_;      // per-leaf outbox cursors
 
     std::vector<chaos::TimedFault> cluster_faults_;
     std::vector<FrozenExport> frozen_;  // aligned with cluster_faults_
@@ -812,16 +773,16 @@ class ClusterSim
     uint64_t cluster_violations_ = 0;
 
     // Root arrival generator (the old self-rescheduling query event).
-    uint64_t next_tag_ = 1;
     sim::SimTime gen_time_ = 0;      ///< Instant the next gap is drawn at.
     sim::SimTime next_arrival_ = 0;  ///< Lookahead arrival instant.
     bool primed_ = false;
 
-    std::unordered_map<uint64_t, Query> pending_;
-    double window_sum_ = 0.0;
+    QueryLedger ledger_;  // queries in flight, by tag
+    int64_t window_sum_ns_ = 0;  ///< Root latencies closed this window.
     uint64_t window_count_ = 0;
     sim::SimTime warmup_end_ = 0;
     uint64_t epochs_ = 0;
+    double barrier_host_s_ = 0.0;
 
     sim::TimeSeries latency_;
     sim::TimeSeries emu_;
@@ -878,6 +839,7 @@ ClusterExperiment::MeasureTarget()
     ClusterSim sim(run_cfg, specs, trace, /*colocate=*/false,
                    /*target=*/0);
     sim.Run(cfg_.target_run, cfg_.run_warmup);
+    target_barrier_host_s_ = sim.barrier_host_s();
     // The worst mu/30s window at the defining load is the SLO target,
     // with a small confidence margin: the defining run observes only a
     // few windows, so its sample maximum understates the true worst
@@ -968,6 +930,8 @@ ClusterExperiment::Run()
     r.target = target_;
     r.epochs = sim.epochs();
     r.leaf_events = sim.leaf_events();
+    r.barrier_host_s = target_barrier_host_s_ + sim.barrier_host_s();
+    target_barrier_host_s_ = 0.0;  // a repeat Run reuses the cached target
     return r;
 }
 

@@ -209,6 +209,17 @@ struct ClusterResult {
     // every leaf's queue.
     uint64_t epochs = 0;
     uint64_t leaf_events = 0;
+
+    /**
+     * Host seconds (steady clock) the root spent in its serial barrier
+     * work — arrival generation, reply drain, fault boundaries, window
+     * close, scheduler tick — summed over the colocated run and, when
+     * this Run call performed it, the target-defining run. Everything
+     * else in those runs is assembly and the parallel leaf fan-out.
+     * Host timing only: it reads no simulated state and is not part of
+     * any metrics record.
+     */
+    double barrier_host_s = 0.0;
 };
 
 /** Runs the composed cluster under its load trace. */
@@ -252,6 +263,8 @@ class ClusterExperiment
     sim::Duration target_ = 0;
     sim::Duration leaf_target_ = 0;
     std::vector<sim::Duration> leaf_targets_;
+    /** Barrier host seconds of a target run not yet reported by Run. */
+    double target_barrier_host_s_ = 0.0;
 };
 
 }  // namespace heracles::cluster

@@ -20,6 +20,44 @@ LeafBatching::Resolve(size_t leaves, int configured)
     return b;
 }
 
+uint64_t
+QueryLedger::Open(int alive)
+{
+    HERACLES_CHECK(alive >= 0);
+    slots_.push_back({alive, 0});
+    return next_tag() - 1;
+}
+
+sim::Duration
+QueryLedger::Reply(uint64_t tag, sim::Duration latency)
+{
+    HERACLES_CHECK_MSG(tag >= base_tag_ + head_ && tag < next_tag(),
+                       "reply for tag " << tag << " outside the live span ["
+                                        << base_tag_ + head_ << ", "
+                                        << next_tag() << ")");
+    Slot& s = slots_[tag - base_tag_];
+    HERACLES_CHECK_MSG(s.remaining > 0,
+                       "reply for completed or lost query " << tag);
+    s.max_latency = std::max(s.max_latency, latency);
+    return --s.remaining == 0 ? s.max_latency + hop_latency_ : -1;
+}
+
+void
+QueryLedger::Retire()
+{
+    while (head_ < slots_.size() && slots_[head_].remaining == 0) ++head_;
+    if (head_ == slots_.size()) {
+        base_tag_ += head_;
+        slots_.clear();
+        head_ = 0;
+    } else if (2 * head_ >= slots_.size()) {
+        slots_.erase(slots_.begin(),
+                     slots_.begin() + static_cast<std::ptrdiff_t>(head_));
+        base_tag_ += head_;
+        head_ = 0;
+    }
+}
+
 BarrierClock
 BarrierClock::Build(sim::Duration duration, sim::Duration root_window,
                     sim::Duration scheduler_period,

@@ -108,18 +108,4 @@ ParallelFor(Pool* pool, size_t n, const std::function<void(size_t)>& fn)
     pool->Wait();
 }
 
-void
-ParallelFor(Pool* pool, const std::vector<size_t>& order,
-            const std::function<void(size_t)>& fn)
-{
-    if (pool == nullptr || pool->threads() <= 1 || order.size() <= 1) {
-        for (size_t i : order) fn(i);
-        return;
-    }
-    for (size_t i : order) {
-        pool->Submit([&fn, i] { fn(i); });
-    }
-    pool->Wait();
-}
-
 }  // namespace heracles::runner

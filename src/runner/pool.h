@@ -88,17 +88,6 @@ void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& fn);
 void ParallelFor(Pool* pool, size_t n, const std::function<void(size_t)>& fn);
 
 /**
- * ParallelFor over an explicit submission order: runs fn(i) for every i
- * in @p order, submitting (or, with a null/single-thread pool, running
- * inline) in that sequence. The epoch engine submits its largest leaf
- * batches first so the pool's FIFO dispatch starts the long poles before
- * the stragglers — pure scheduling: tasks must be independent, so the
- * order can never change results. Blocks until every entry has run.
- */
-void ParallelFor(Pool* pool, const std::vector<size_t>& order,
-                 const std::function<void(size_t)>& fn);
-
-/**
  * ParallelFor that collects fn(i) into a vector indexed by i. Results
  * are merged in submission (index) order, so the output is identical for
  * every jobs value.

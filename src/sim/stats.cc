@@ -121,7 +121,6 @@ WindowedTailTracker::Record(SimTime now, Duration latency, uint64_t n)
 {
     MaybeRoll(now);
     current_.RecordN(latency, n);
-    all_.RecordN(latency, n);
 }
 
 void

@@ -81,7 +81,9 @@ class LatencyHistogram
  * The paper reports the worst 60-second-window tail observed during an
  * experiment, and the Heracles controller polls the tail of the most
  * recently completed window. This class supports both: it rotates a
- * histogram every @p window and remembers per-window percentiles.
+ * histogram every @p window and remembers per-window percentiles. It
+ * keeps no all-time histogram; a caller that wants percentiles over a
+ * whole run records into one LatencyHistogram of its own.
  */
 class WindowedTailTracker
 {
@@ -109,12 +111,6 @@ class WindowedTailTracker
     /** Worst per-window tail across the whole run; 0 if none completed. */
     Duration WorstWindowTail() const { return worst_window_tail_; }
 
-    /** Tail over *all* samples ever recorded. */
-    Duration OverallTail() const { return all_.Percentile(percentile_); }
-
-    /** Any percentile over *all* samples ever recorded (p in [0,1]). */
-    Duration OverallPercentile(double p) const { return all_.Percentile(p); }
-
     /** Tail of the in-progress (partial) window; 0 if empty. */
     Duration CurrentWindowTail() const {
         return current_.Percentile(percentile_);
@@ -141,7 +137,6 @@ class WindowedTailTracker
     double percentile_;
     SimTime window_end_;
     LatencyHistogram current_;
-    LatencyHistogram all_;
     Duration last_window_tail_ = 0;
     double last_window_mean_ = 0.0;
     uint64_t last_window_count_ = 0;

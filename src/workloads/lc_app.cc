@@ -199,6 +199,7 @@ LcApp::OnCompletion(const Request& req)
     report_tail_.Record(now, latency, static_cast<uint64_t>(params_.batch));
     ctl_tail_.Record(now, latency, static_cast<uint64_t>(params_.batch));
     fast_tail_.Record(now, latency, static_cast<uint64_t>(params_.batch));
+    all_latency_.RecordN(latency, static_cast<uint64_t>(params_.batch));
 
     if (req.tracked && completion_fn_) completion_fn_(req.tag, latency);
 
@@ -438,7 +439,7 @@ LcApp::LastReportTail() const
 sim::Duration
 LcApp::OverallPercentile(double p) const
 {
-    return report_tail_.OverallPercentile(p);
+    return all_latency_.Percentile(p);
 }
 
 void
@@ -457,6 +458,7 @@ LcApp::ResetStats()
                                          params_.slo_percentile);
     fast_tail_ = sim::WindowedTailTracker(params_.fast_window,
                                           params_.slo_percentile);
+    all_latency_.Reset();
     // Window boundaries are phase-locked to t=0; fast-forward to now.
     const sim::SimTime now = machine_.queue().Now();
     report_tail_.MaybeRoll(now);

@@ -283,6 +283,8 @@ class LcApp : public hw::ResourceClient
     mutable sim::WindowedTailTracker report_tail_;
     mutable sim::WindowedTailTracker ctl_tail_;
     mutable sim::WindowedTailTracker fast_tail_;
+    /** Every latency since the last ResetStats (OverallPercentile). */
+    sim::LatencyHistogram all_latency_;
 
     // Rate measurement.
     uint64_t arrivals_in_sec_ = 0;

@@ -14,8 +14,19 @@
  *     slack-freeze boundaries, end of run) is a barrier, the schedule
  *     is sorted and duplicate-free, and it depends only on the
  *     configuration — never on thread count or event timing.
+ *
+ * It also pins the root's reply bookkeeping (cluster::QueryLedger)
+ * against a std::map reference under random reply interleavings: the
+ * barrier drains replies in leaf order, which is only sound because
+ * their order cannot change what completes or the window sum.
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "chaos/fault_plan.h"
 #include "cluster/epoch.h"
@@ -224,6 +235,128 @@ TEST(BarrierClock, IgnoresFaultBoundariesOutsideTheRun)
     EXPECT_FALSE(clock.IsBarrier(0));
     EXPECT_FALSE(clock.IsBarrier(sim::Seconds(999)));
     EXPECT_EQ(clock.barriers.back(), sim::Seconds(90));
+}
+
+TEST(QueryLedger, MatchesMapReferenceUnderAnyReplyInterleaving)
+{
+    // Each drain opens a random batch of queries over a few leaves
+    // (some touch no live leaf and are lost), and each touched leaf
+    // replies 0..kMaxDelay drains later. The ledger applies a drain's
+    // replies in a random interleaving of per-leaf streams that are
+    // themselves shuffled; the reference applies them leaf-major to a
+    // std::map. Both must complete the same queries with the same root
+    // latencies and the same integer window sum.
+    constexpr int kLeaves = 6;
+    constexpr int kDrains = 300;
+    constexpr int kMaxQueries = 20;  // opened per drain
+    constexpr int kMaxDelay = 3;     // drains until a reply lands
+    constexpr sim::Duration kHop = 500;
+    using Stream = std::vector<std::pair<uint64_t, sim::Duration>>;
+    struct RefQuery {
+        int remaining;
+        sim::Duration max_latency;
+    };
+
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        std::mt19937_64 rng(seed);
+        cluster::QueryLedger ledger(kHop);
+        std::map<uint64_t, RefQuery> ref;
+        std::vector<std::vector<Stream>> due(
+            kDrains + kMaxDelay + 1, std::vector<Stream>(kLeaves));
+        uint64_t expect_tag = 1;
+        uint64_t lost = 0;
+        for (int d = 0; d < kDrains; ++d) {
+            const int n = static_cast<int>(rng() % (kMaxQueries + 1));
+            for (int q = 0; q < n; ++q) {
+                // Tags are dense: every query takes the next one, lost
+                // or not.
+                const uint64_t tag = ledger.next_tag();
+                ASSERT_EQ(tag, expect_tag++);
+                int alive = 0;
+                for (int leaf = 0; leaf < kLeaves; ++leaf) {
+                    if (rng() % 3 != 0) continue;
+                    ++alive;
+                    const int at = d + static_cast<int>(rng() % (kMaxDelay + 1));
+                    due[at][leaf].push_back(
+                        {tag, static_cast<sim::Duration>(
+                                  1 + rng() % 50'000'000)});
+                }
+                ASSERT_EQ(ledger.Open(alive), tag);
+                if (alive > 0) {
+                    ref[tag] = {alive, 0};
+                } else {
+                    ++lost;
+                }
+            }
+
+            std::map<uint64_t, sim::Duration> want;
+            int64_t want_sum = 0;
+            for (const Stream& stream : due[d]) {
+                for (const auto& [tag, latency] : stream) {
+                    auto it = ref.find(tag);
+                    ASSERT_NE(it, ref.end());
+                    it->second.max_latency =
+                        std::max(it->second.max_latency, latency);
+                    if (--it->second.remaining == 0) {
+                        want[tag] = it->second.max_latency + kHop;
+                        want_sum += want[tag];
+                        ref.erase(it);
+                    }
+                }
+            }
+
+            std::map<uint64_t, sim::Duration> got;
+            int64_t got_sum = 0;
+            std::vector<size_t> pos(kLeaves, 0);
+            std::vector<int> open_leaves;
+            for (int leaf = 0; leaf < kLeaves; ++leaf) {
+                std::shuffle(due[d][leaf].begin(), due[d][leaf].end(), rng);
+                if (!due[d][leaf].empty()) open_leaves.push_back(leaf);
+            }
+            while (!open_leaves.empty()) {
+                const size_t k = rng() % open_leaves.size();
+                const int leaf = open_leaves[k];
+                const auto& [tag, latency] = due[d][leaf][pos[leaf]++];
+                const sim::Duration root = ledger.Reply(tag, latency);
+                if (root >= 0) {
+                    EXPECT_EQ(got.count(tag), 0u) << "completed twice";
+                    got[tag] = root;
+                    got_sum += root;
+                }
+                if (pos[leaf] == due[d][leaf].size()) {
+                    open_leaves.erase(open_leaves.begin() +
+                                      static_cast<std::ptrdiff_t>(k));
+                }
+            }
+            ledger.Retire();
+
+            ASSERT_EQ(got, want) << "seed " << seed << " drain " << d;
+            ASSERT_EQ(got_sum, want_sum) << "seed " << seed << " drain " << d;
+            // After compaction the span runs from the oldest live query
+            // to the newest tag: completed and lost slots before it are
+            // gone, so it stays within a reply delay's worth of queries.
+            const size_t span =
+                ref.empty() ? 0 : ledger.next_tag() - ref.begin()->first;
+            ASSERT_EQ(ledger.live_span(), span)
+                << "seed " << seed << " drain " << d;
+            ASSERT_LE(span, static_cast<size_t>(kMaxDelay * kMaxQueries));
+        }
+        EXPECT_GT(lost, 0u) << "seed " << seed << " opened no lost query";
+    }
+}
+
+TEST(QueryLedgerDeathTest, RejectsRepliesForNoLiveQuery)
+{
+    cluster::QueryLedger ledger;
+    const uint64_t tag = ledger.Open(1);
+    const uint64_t lost = ledger.Open(0);
+    EXPECT_DEATH(ledger.Reply(tag + 5, 1), "outside the live span");
+    EXPECT_DEATH(ledger.Reply(lost, 1), "completed or lost");
+    EXPECT_EQ(ledger.Reply(tag, 7), 7);
+    EXPECT_DEATH(ledger.Reply(tag, 1), "completed or lost");
+    ledger.Retire();
+    EXPECT_EQ(ledger.live_span(), 0u);
+    EXPECT_DEATH(ledger.Reply(tag, 1), "outside the live span");
 }
 
 }  // namespace

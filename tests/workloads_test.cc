@@ -205,6 +205,21 @@ TEST_P(LcAppAloneTest, MeetsSloAlone)
         << params.name << " @ " << load;
 }
 
+TEST(LcApp, OverallPercentileSpansReportWindowsAndResets)
+{
+    // The all-time histogram behind OverallPercentile (the scenario
+    // harness's p95/p99) covers every completion since ResetStats, across
+    // report-window rolls, and nothing before it.
+    LcRig rig(Websearch());
+    rig.RunAlone(0.5, sim::Seconds(5), sim::Seconds(70));
+    const sim::Duration p95 = rig.app.OverallPercentile(0.95);
+    EXPECT_GT(p95, 0);
+    EXPECT_GE(rig.app.OverallPercentile(0.99), p95);
+    EXPECT_GE(rig.app.OverallPercentile(1.0), rig.app.LastReportTail());
+    rig.app.ResetStats();
+    EXPECT_EQ(rig.app.OverallPercentile(0.99), 0);
+}
+
 std::string
 LcAloneName(const ::testing::TestParamInfo<std::tuple<int, double>>& info)
 {

@@ -9,7 +9,8 @@
  * the two produce bit-identical results, which is the epoch engine's
  * core contract. The record carries the scenario's shape (leaves,
  * topology), its epoch/event counts, per-pass throughput
- * (epochs/s, aggregate leaf events/s) and the parallel speedup.
+ * (epochs/s, aggregate leaf events/s), each pass's host time in the
+ * root's serial barrier section, and the parallel speedup.
  *
  * Usage: bench_cluster [--scenario NAME] [--scale F] [--jobs N]
  *                      [--leaves N] [--out FILE]
@@ -148,9 +149,9 @@ main(int argc, char** argv)
         wall[p] =
             WallSeconds([&] { results[p] = experiment.Run(); });
         std::fprintf(stderr,
-                     "jobs=%d: %.2fs wall, %llu epochs, %llu leaf "
-                     "events\n",
-                     widths[p], wall[p],
+                     "jobs=%d: %.2fs wall (%.2fs serial barrier), %llu "
+                     "epochs, %llu leaf events\n",
+                     widths[p], wall[p], results[p].barrier_host_s,
                      static_cast<unsigned long long>(results[p].epochs),
                      static_cast<unsigned long long>(
                          results[p].leaf_events));
@@ -165,16 +166,17 @@ main(int argc, char** argv)
 
     std::string runs_json;
     for (int p = 0; p < 2; ++p) {
-        char run[256];
+        char run[320];
         std::snprintf(
             run, sizeof run,
             "    {\n"
             "      \"jobs\": %d,\n"
             "      \"wall_s\": %.3f,\n"
+            "      \"barrier_host_s\": %.3f,\n"
             "      \"epochs_per_sec\": %.4f,\n"
             "      \"events_per_sec\": %.0f\n"
             "    }%s\n",
-            widths[p], wall[p],
+            widths[p], wall[p], results[p].barrier_host_s,
             static_cast<double>(results[p].epochs) / wall[p],
             static_cast<double>(results[p].leaf_events) / wall[p],
             p == 0 ? "," : "");
