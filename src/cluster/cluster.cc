@@ -20,6 +20,20 @@ namespace heracles::cluster {
 namespace {
 
 /**
+ * The barrier fan-out's split: at least kRangesPerWorker pool tasks per
+ * worker, and at most kMaxLeavesPerRange leaves per task. Fewer, larger
+ * tasks cut the per-barrier dispatch cost (submit, wake, notify); more,
+ * smaller ones let a worker that drew light leaves pick up another
+ * range before the barrier. Measured at 4 workers (docs/performance.md):
+ * on the 128-leaf pod, one task per leaf cost 21% more set-up time and
+ * one range per worker lost 9 of 10 sim_speed pairs, while four per
+ * worker (16 ranges of 8) was within noise; at 1024 leaves, 16 ranges
+ * of 64 lost 15 of 16 wall-time pairs to 128 ranges of 8.
+ */
+constexpr size_t kRangesPerWorker = 4;
+constexpr size_t kMaxLeavesPerRange = 8;
+
+/**
  * One assembled cluster: machines, leaves, per-leaf Heracles, a root
  * topology and (optionally) the cluster-level BE scheduler.
  *
@@ -41,16 +55,19 @@ class ClusterSim
 {
   public:
     /**
+     * @param pool workers for assembly and the leaf fan-out (not owned;
+     *        nullptr runs everything inline on the calling thread).
      * @param faults fault plan for this run, or nullptr for a clean run
      *        (the target-defining run is always clean); windows resolve
      *        against @p fault_total (the run's trace duration).
      */
     ClusterSim(const ClusterConfig& cfg, const std::vector<LeafSpec>& specs,
                const sim::LoadTrace& trace, bool colocate,
-               sim::Duration target,
+               sim::Duration target, runner::Pool* pool,
                const chaos::FaultPlan* faults = nullptr,
                sim::Duration fault_total = 0)
-        : cfg_(cfg), trace_(trace), target_(target), rng_(cfg.seed)
+        : cfg_(cfg), trace_(trace), target_(target), pool_(pool),
+          rng_(cfg.seed)
     {
         if (faults != nullptr) {
             for (const chaos::FaultSpec& f : faults->faults) {
@@ -150,13 +167,8 @@ class ClusterSim
                 models[li] = ctl::LcBwModel::Profile(specs[li].lc, mcfg);
             }
         };
-        if (cfg_.pool != nullptr) {
-            runner::ParallelFor(cfg_.pool, entries.size() + models.size(),
-                                assemble);
-        } else {
-            runner::ParallelFor(cfg_.jobs, entries.size() + models.size(),
-                                assemble);
-        }
+        runner::ParallelFor(pool_, entries.size() + models.size(),
+                            assemble);
 
         leaves_.reserve(static_cast<size_t>(n));
         for (int i = 0; i < n; ++i) {
@@ -223,8 +235,6 @@ class ClusterSim
         }
 
         crashed_.assign(static_cast<size_t>(n), false);
-        batching_ =
-            LeafBatching::Resolve(leaves_.size(), cfg_.leaf_batch);
         topo_ = MakeTopology(cfg_.topology, n, cfg_.shards,
                              cfg_.rack_size, cfg_.seed ^ 0x70B0C0DEull);
         ledger_ = QueryLedger(2 * cfg_.hop * topo_->HopLevels());
@@ -300,13 +310,6 @@ class ClusterSim
             cluster_faults_);
         epochs_ += clock.size();
 
-        runner::Pool* pool = cfg_.pool;
-        std::unique_ptr<runner::Pool> owned;
-        if (pool == nullptr && cfg_.jobs > 1 && leaves_.size() > 1) {
-            owned = std::make_unique<runner::Pool>(std::min(
-                cfg_.jobs, static_cast<int>(leaves_.size())));
-            pool = owned.get();
-        }
         // Host time of the root's serial work (everything but the
         // leaf fan-out) is clocked for ClusterResult::barrier_host_s;
         // it is never read back into simulated state.
@@ -317,7 +320,7 @@ class ClusterSim
             for (auto& leaf : leaves_) leaf.inbox.clear();
             PumpArrivals(/*limit=*/t);
             const Clock::time_point fan = Clock::now();
-            FanOutLeaves(pool, t, /*inclusive=*/false);
+            FanOutLeaves(t, /*inclusive=*/false);
             const Clock::time_point drain = Clock::now();
             DrainOutboxes();
             ApplyFaultBoundaries(t);
@@ -334,7 +337,7 @@ class ClusterSim
         for (auto& leaf : leaves_) leaf.inbox.clear();
         PumpArrivals(duration + 1);
         serial += Clock::now() - pump;
-        FanOutLeaves(pool, duration, /*inclusive=*/true);
+        FanOutLeaves(duration, /*inclusive=*/true);
         barrier_host_s_ += std::chrono::duration<double>(serial).count();
     }
 
@@ -560,22 +563,30 @@ class ClusterSim
     }
 
     /**
-     * Fans every leaf to the barrier at @p until, one pool task per leaf
-     * batch. The batch mapping is a pure function of the configuration,
-     * and batch execution order cannot change results (leaves are
+     * Fans every leaf to the barrier at @p until: the n leaves split
+     * into parts = min(n, max(kRangesPerWorker x workers,
+     * ceil(n / kMaxLeavesPerRange))) contiguous ranges
+     * [p*n/parts, (p+1)*n/parts), one pool task each; with no pool,
+     * every leaf steps inline in leaf order. Neither the split nor the
+     * order ranges run in can change results (leaves are
      * thread-confined within an epoch).
      */
     void
-    FanOutLeaves(runner::Pool* pool, sim::SimTime until, bool inclusive)
+    FanOutLeaves(sim::SimTime until, bool inclusive)
     {
-        const size_t nb = batching_.batches();
-        if (nb <= 1 || pool == nullptr || pool->threads() <= 1) {
+        if (pool_ == nullptr) {
             for (auto& leaf : leaves_) StepLeaf(leaf, until, inclusive);
             return;
         }
-        runner::ParallelFor(pool, nb, [&](size_t b) {
-            const size_t end = batching_.BatchEnd(b);
-            for (size_t i = batching_.BatchBegin(b); i < end; ++i) {
+        const size_t n = leaves_.size();
+        const size_t workers = static_cast<size_t>(pool_->threads());
+        const size_t parts =
+            std::min(n, std::max(kRangesPerWorker * workers,
+                                 (n + kMaxLeavesPerRange - 1) /
+                                     kMaxLeavesPerRange));
+        runner::ParallelFor(pool_, parts, [&](size_t p) {
+            const size_t end = (p + 1) * n / parts;
+            for (size_t i = p * n / parts; i < end; ++i) {
                 StepLeaf(leaves_[i], until, inclusive);
             }
         });
@@ -758,14 +769,12 @@ class ClusterSim
     ClusterConfig cfg_;
     const sim::LoadTrace& trace_;
     sim::Duration target_;
+    runner::Pool* pool_;
     sim::Rng rng_;
     std::vector<Leaf> leaves_;
     std::unique_ptr<Topology> topo_;
     std::unique_ptr<ClusterScheduler> scheduler_;
     std::vector<int> touched_;  // per-query scratch
-
-    /** Deterministic leaf → pool-task mapping for the barrier fan-out. */
-    LeafBatching batching_;
 
     std::vector<chaos::TimedFault> cluster_faults_;
     std::vector<FrozenExport> frozen_;  // aligned with cluster_faults_
@@ -820,7 +829,6 @@ ClusterExperiment::ResolveSpecs()
 runner::Pool*
 ClusterExperiment::SharedPool()
 {
-    if (cfg_.pool != nullptr) return cfg_.pool;
     if (pool_ == nullptr && cfg_.jobs > 1 && ResolveSpecs().size() > 1) {
         pool_ = std::make_unique<runner::Pool>(std::min(
             cfg_.jobs, static_cast<int>(ResolveSpecs().size())));
@@ -834,10 +842,8 @@ ClusterExperiment::MeasureTarget()
     if (target_ > 0) return target_;
     const std::vector<LeafSpec>& specs = ResolveSpecs();
     sim::ConstantTrace trace(cfg_.target_load);
-    ClusterConfig run_cfg = cfg_;
-    run_cfg.pool = SharedPool();
-    ClusterSim sim(run_cfg, specs, trace, /*colocate=*/false,
-                   /*target=*/0);
+    ClusterSim sim(cfg_, specs, trace, /*colocate=*/false, /*target=*/0,
+                   SharedPool());
     sim.Run(cfg_.target_run, cfg_.run_warmup);
     target_barrier_host_s_ = sim.barrier_host_s();
     // The worst mu/30s window at the defining load is the SLO target,
@@ -910,9 +916,8 @@ ClusterExperiment::Run()
     for (size_t i = 0; i < run_specs.size(); ++i) {
         run_specs[i].lc.slo_latency = leaf_targets_[i];
     }
-    ClusterConfig run_cfg = cfg_;
-    run_cfg.pool = SharedPool();
-    ClusterSim sim(run_cfg, run_specs, *trace, cfg_.colocate, target_,
+    ClusterSim sim(cfg_, run_specs, *trace, cfg_.colocate, target_,
+                   SharedPool(),
                    cfg_.faults.empty() ? nullptr : &cfg_.faults,
                    cfg_.duration);
     sim.Run(cfg_.duration, cfg_.run_warmup);

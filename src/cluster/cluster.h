@@ -132,36 +132,16 @@ struct ClusterConfig {
     /**
      * Worker threads for the run: the assembly work (BE alone-rate
      * baselines, per-leaf bandwidth-model profiling) and the epoch
-     * engine's per-barrier leaf fan-out both use this width. Results
-     * never depend on it — leaves exchange state only at deterministic
-     * epoch barriers, so jobs=N is bit-identical to jobs=1. Defaults to
-     * the tree's shared policy (HERACLES_JOBS env var, else hardware
-     * concurrency).
+     * engine's per-barrier leaf fan-out both run on one pool of
+     * min(jobs, leaves) threads that ClusterExperiment owns and reuses
+     * for every run it performs. Each barrier splits the leaves into
+     * contiguous ranges, at least four per worker and at most 8 leaves
+     * each. Results never depend on it — leaves exchange state only at
+     * deterministic epoch barriers, so jobs=N is bit-identical to
+     * jobs=1. Defaults to the tree's shared policy (HERACLES_JOBS env
+     * var, else hardware concurrency).
      */
     int jobs = runner::DefaultJobs();
-
-    /**
-     * Leaves per epoch-engine task: each barrier fans the leaves out in
-     * contiguous batches of this size, cutting the per-barrier dispatch
-     * overhead (submit/wake/notify per task) that dominates at thousands
-     * of leaves. The mapping depends only on the leaf count and this
-     * value — never on `jobs` — so results are identical for every
-     * batch size. 0 = auto (8 once the cluster has >= 64 leaves, else
-     * unbatched); 1 = one task per leaf.
-     */
-    int leaf_batch = 0;
-
-    /**
-     * Shared worker pool (not owned). When set, the run's assembly work
-     * and the epoch engine submit here instead of spawning their own
-     * pool — a sweep that runs many configurations reuses one set of
-     * threads instead of paying a pool spawn per run. The pool must not
-     * receive work from two runs concurrently (ParallelFor waits for the
-     * whole pool); RunScenarios-style outer fan-outs need one pool per
-     * worker, or none. nullptr = the run manages its own pool from
-     * `jobs`.
-     */
-    runner::Pool* pool = nullptr;
 };
 
 /** Results of a cluster run. */
@@ -250,10 +230,10 @@ class ClusterExperiment
     const std::vector<LeafSpec>& ResolveSpecs();
 
     /**
-     * The pool every run of this experiment shares: the caller's
-     * cfg.pool when set, else one lazily spawned from cfg.jobs — so
-     * MeasureTarget and Run (and a caller's repeat runs) pay one thread
-     * spawn total, not one per run.
+     * The only pool of a cluster run: spawned lazily from cfg.jobs
+     * (nullptr when jobs <= 1 or there is a single leaf, which runs
+     * everything inline), so MeasureTarget and Run (and a caller's
+     * repeat runs) pay one thread spawn total, not one per run.
      */
     runner::Pool* SharedPool();
 

@@ -340,7 +340,6 @@ ClusterConfigFor(const ScenarioSpec& spec, const RunOptions& opts)
     // assembly profiling). The default of 1 keeps nested catalog
     // sweeps from stacking pools.
     cfg.jobs = std::max(opts.cluster_jobs, 1);
-    cfg.leaf_batch = std::max(opts.cluster_leaf_batch, 0);
     return cfg;
 }
 

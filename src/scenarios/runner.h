@@ -42,12 +42,6 @@ struct RunOptions {
      * without oversubscription.
      */
     int cluster_jobs = 1;
-    /**
-     * Leaves per epoch-engine task for cluster scenarios (the
-     * --cluster-leaf-batch flag; cluster::ClusterConfig::leaf_batch).
-     * Metrics are bit-identical across values. 0 = auto.
-     */
-    int cluster_leaf_batch = 0;
 
     /** Reduced-scale preset used by the golden regression harness. */
     static RunOptions Golden();

@@ -5,9 +5,10 @@
  *  1. Thread-count invariance: every cluster scenario in the catalog
  *     (clean weather and chaos alike) produces a bit-identical metrics
  *     record with the leaf fan-out serial (cluster_jobs=1) and parallel
- *     (cluster_jobs=4). The golden harness separately pins *what* those
- *     records contain; this suite pins that parallelism cannot change
- *     them.
+ *     (cluster_jobs=4), and so does a cluster whose pool tasks each
+ *     step several leaves. The golden harness separately pins *what*
+ *     those records contain; this suite pins that parallelism cannot
+ *     change them.
  *
  *  2. The barrier clock: every instant where cross-leaf state may move
  *     (SLO window closes, scheduler ticks, leaf crash/recover and
@@ -85,81 +86,31 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param;
     });
 
-class BatchingInvariance : public ::testing::TestWithParam<std::string>
+TEST(LeafRanges, MoreLeavesThanRangesMatchSerial)
 {
-};
-
-TEST_P(BatchingInvariance, BatchedParallelMatchesUnbatchedSerial)
-{
-    // The strongest pairing of the engine's two scheduling knobs: a
-    // serial unbatched run against a parallel run with leaf batching
-    // forced on (batch of 2 over the golden harness's 3 leaves exercises
-    // an uneven final batch). Any leakage of the batch mapping or the
-    // batch submission order into simulation state shows up here.
+    // The golden harness's 3 leaves give every pool task one leaf. At
+    // 10 leaves and cluster_jobs=2 the fan-out splits the leaves into 8
+    // contiguous ranges, two of them with two leaves, so a task steps
+    // several leaves and the ranges are uneven. Dropping, repeating or
+    // reordering a leaf inside a range shows up here.
     const scenarios::ScenarioSpec& spec =
-        scenarios::MustFindScenario(GetParam());
+        scenarios::MustFindScenario("cluster_scale_rack_sharded");
 
     scenarios::RunOptions serial = scenarios::RunOptions::Golden();
+    serial.cluster_leaves = 10;
     serial.cluster_jobs = 1;
-    serial.cluster_leaf_batch = 1;
-    scenarios::RunOptions batched = scenarios::RunOptions::Golden();
-    batched.cluster_jobs = 4;
-    batched.cluster_leaf_batch = 2;
+    scenarios::RunOptions ranged = serial;
+    ranged.cluster_jobs = 2;
 
     const scenarios::ScenarioMetrics a =
         scenarios::RunScenario(spec, serial);
     const scenarios::ScenarioMetrics b =
-        scenarios::RunScenario(spec, batched);
+        scenarios::RunScenario(spec, ranged);
     EXPECT_TRUE(a.ExactlyEquals(b))
-        << spec.name
-        << ": jobs=4 leaf_batch=2 diverged from jobs=1 leaf_batch=1\n"
-        << "serial:\n"
-        << scenarios::MetricsToJson(a) << "batched:\n"
+        << "10 leaves: cluster_jobs=2 diverged from cluster_jobs=1\n"
+        << "jobs=1:\n"
+        << scenarios::MetricsToJson(a) << "jobs=2:\n"
         << scenarios::MetricsToJson(b);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Catalog, BatchingInvariance,
-    ::testing::ValuesIn(ClusterScenarioNames()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-        return info.param;
-    });
-
-TEST(LeafBatching, AutoPolicyBatchesOnlyLargeClusters)
-{
-    // The mapping is configuration-only: leaf count + configured size.
-    EXPECT_EQ(cluster::LeafBatching::Resolve(3, 0).batch_size, 1u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(63, 0).batch_size, 1u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(64, 0).batch_size, 8u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(1024, 0).batch_size, 8u);
-}
-
-TEST(LeafBatching, ExplicitSizeIsClampedToLeafCount)
-{
-    EXPECT_EQ(cluster::LeafBatching::Resolve(3, 8).batch_size, 3u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(100, 16).batch_size, 16u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(0, 5).batches(), 0u);
-}
-
-TEST(LeafBatching, MappingPinsContiguousBatches)
-{
-    // 10 leaves in batches of 4: [0..3], [4..7], [8..9]. This exact
-    // mapping is what makes a batched run reproducible — pin it.
-    const cluster::LeafBatching b = cluster::LeafBatching::Resolve(10, 4);
-    EXPECT_EQ(b.batches(), 3u);
-    EXPECT_EQ(b.BatchOf(0), 0u);
-    EXPECT_EQ(b.BatchOf(3), 0u);
-    EXPECT_EQ(b.BatchOf(4), 1u);
-    EXPECT_EQ(b.BatchOf(7), 1u);
-    EXPECT_EQ(b.BatchOf(9), 2u);
-    EXPECT_EQ(b.BatchBegin(1), 4u);
-    EXPECT_EQ(b.BatchEnd(1), 8u);
-    EXPECT_EQ(b.BatchEnd(2), 10u);  // final batch is short
-    for (size_t leaf = 0; leaf < 10; ++leaf) {
-        const size_t batch = b.BatchOf(leaf);
-        EXPECT_GE(leaf, b.BatchBegin(batch));
-        EXPECT_LT(leaf, b.BatchEnd(batch));
-    }
 }
 
 TEST(BarrierClock, ContainsEveryWindowAndSchedulerTick)

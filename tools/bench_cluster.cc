@@ -28,6 +28,7 @@
  * 2 usage/IO error.
  */
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +44,25 @@
 using namespace heracles;
 
 namespace {
+
+/**
+ * Strict parse of a positive integer flag (the heracles_sim
+ * convention): "--leaves banana" must not silently run the scenario's
+ * own leaf count, nor "--jobs 4x" run 4.
+ */
+bool
+ParsePositiveInt(const char* flag, const char* v, int* out)
+{
+    char* end = nullptr;
+    const long n = std::strtol(v, &end, 10);
+    if (end == v || *end != '\0' || n <= 0 || n > INT_MAX) {
+        std::fprintf(stderr, "%s wants a positive integer, got '%s'\n",
+                     flag, v);
+        return false;
+    }
+    *out = static_cast<int>(n);
+    return true;
+}
 
 double
 WallSeconds(const std::function<void()>& fn)
@@ -110,9 +130,11 @@ main(int argc, char** argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            jobs = std::atoi(argv[++i]);
+            if (!ParsePositiveInt("--jobs", argv[++i], &jobs)) return 2;
         } else if (!std::strcmp(argv[i], "--leaves") && i + 1 < argc) {
-            leaves = std::atoi(argv[++i]);
+            if (!ParsePositiveInt("--leaves", argv[++i], &leaves)) {
+                return 2;
+            }
         } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out_path = argv[++i];
         } else {
@@ -122,10 +144,6 @@ main(int argc, char** argv)
                          argv[0]);
             return 2;
         }
-    }
-    if (scale <= 0.0 || jobs <= 0) {
-        std::fprintf(stderr, "--scale and --jobs must be positive\n");
-        return 2;
     }
 
     const scenarios::ScenarioSpec& spec =

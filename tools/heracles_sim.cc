@@ -14,7 +14,7 @@
  *                [--sweep 0.1,0.3,0.5|paper] [--jobs N]
  *                [--list-scenarios] [--scenario NAME|all]
  *                [--scale F] [--json] [--faults SPEC]
- *                [--cluster-jobs N] [--cluster-leaf-batch N]
+ *                [--cluster-jobs N]
  *                [--cluster-policy static-split|greedy-slack|
  *                                  round-robin|predictive]
  *
@@ -32,10 +32,10 @@
  * epoch engine fans its leaves across per barrier interval (metrics are
  * bit-identical for every value). Default: hardware concurrency for a
  * single cluster scenario, 1 for --scenario all (where --jobs already
- * parallelizes across scenarios). --cluster-leaf-batch pins how many
- * leaves the engine steps per worker task (default: automatic — 8 at
- * 64+ leaves, else 1); like --cluster-jobs it cannot change metrics,
- * only wall time.
+ * parallelizes across scenarios). Each barrier splits the leaves into
+ * contiguous ranges, at least four per worker and at most 8 leaves
+ * each; the split follows from the leaf count and this width and has no
+ * flag of its own.
  *
  * Scenario mode composes from the catalog (src/scenarios/registry.cc)
  * instead of the ad-hoc flags: --list-scenarios prints the catalog,
@@ -53,6 +53,7 @@
  * the clause grammar. The run reports the degraded metrics plus the
  * invariant checker's verdict.
  */
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -81,8 +82,7 @@ Usage(const char* argv0)
                  "[--sweep F,F,...|paper] [--jobs N] "
                  "[--list-scenarios] [--scenario NAME|all] "
                  "[--scale F] [--json] [--faults SPEC] "
-                 "[--cluster-jobs N] [--cluster-leaf-batch N] "
-                 "[--cluster-policy NAME]\n",
+                 "[--cluster-jobs N] [--cluster-policy NAME]\n",
                  argv0);
     std::exit(2);
 }
@@ -359,6 +359,25 @@ ParseSweep(const char* argv0, const std::string& spec)
     return loads;
 }
 
+/**
+ * Strict parse of a worker-count flag: garbage like "4x" or "banana"
+ * must not silently run some other width, and a non-positive one must
+ * not silently run serial (or die in the pool).
+ */
+int
+ParsePositiveInt(const char* flag, const char* v)
+{
+    char* end = nullptr;
+    const long n = std::strtol(v, &end, 10);
+    if (end == v || *end != '\0' || n <= 0 || n > INT_MAX) {
+        std::fprintf(stderr,
+                     "error: %s wants a positive integer, got '%s'\n",
+                     flag, v);
+        std::exit(2);
+    }
+    return static_cast<int>(n);
+}
+
 exp::PolicyKind
 ParsePolicy(const std::string& name)
 {
@@ -403,8 +422,6 @@ main(int argc, char** argv)
     int jobs = runner::DefaultJobs();
     int cluster_jobs = 0;
     bool cluster_jobs_given = false;
-    int cluster_leaf_batch = 0;
-    bool cluster_leaf_batch_given = false;
     std::string cluster_policy;
 
     for (int i = 1; i < argc; ++i) {
@@ -445,8 +462,7 @@ main(int argc, char** argv)
         } else if (!std::strcmp(argv[i], "--sweep")) {
             sweep_spec = adhoc_next();
         } else if (!std::strcmp(argv[i], "--jobs")) {
-            jobs = std::atoi(next());
-            if (jobs <= 0) Usage(argv[0]);
+            jobs = ParsePositiveInt("--jobs", next());
         } else if (!std::strcmp(argv[i], "--list-scenarios")) {
             ListScenarios();
             return 0;
@@ -467,33 +483,8 @@ main(int argc, char** argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--cluster-jobs")) {
-            // Garbage or a non-positive width must not silently run
-            // serial (or die in the pool); fail loudly like --seed.
-            const char* v = next();
-            char* end = nullptr;
-            const long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n <= 0) {
-                std::fprintf(stderr,
-                             "error: --cluster-jobs wants a positive "
-                             "integer, got '%s'\n",
-                             v);
-                return 2;
-            }
-            cluster_jobs = static_cast<int>(n);
+            cluster_jobs = ParsePositiveInt("--cluster-jobs", next());
             cluster_jobs_given = true;
-        } else if (!std::strcmp(argv[i], "--cluster-leaf-batch")) {
-            const char* v = next();
-            char* end = nullptr;
-            const long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n <= 0) {
-                std::fprintf(stderr,
-                             "error: --cluster-leaf-batch wants a "
-                             "positive integer, got '%s'\n",
-                             v);
-                return 2;
-            }
-            cluster_leaf_batch = static_cast<int>(n);
-            cluster_leaf_batch_given = true;
         } else if (!std::strcmp(argv[i], "--cluster-policy")) {
             cluster_policy = next();
         } else if (!std::strcmp(argv[i], "--faults")) {
@@ -509,11 +500,10 @@ main(int argc, char** argv)
 
     if (scenario_name.empty() &&
         (scale_given || json || faults_given || cluster_jobs_given ||
-         cluster_leaf_batch_given || !cluster_policy.empty())) {
+         !cluster_policy.empty())) {
         std::fprintf(stderr,
                      "--scale/--json/--faults/--cluster-jobs/"
-                     "--cluster-leaf-batch/--cluster-policy only apply "
-                     "to --scenario runs\n");
+                     "--cluster-policy only apply to --scenario runs\n");
         return 2;
     }
     chaos::FaultPlan faults;
@@ -547,7 +537,6 @@ main(int argc, char** argv)
             cluster_jobs_given
                 ? cluster_jobs
                 : (scenario_name == "all" ? 1 : runner::DefaultJobs());
-        opts.cluster_leaf_batch = cluster_leaf_batch;
         return RunScenarioMode(scenario_name, opts, jobs, json,
                                faults_given ? &faults : nullptr,
                                cluster_policy);
